@@ -678,20 +678,27 @@ impl Daemon {
     /// The daemon-level service verdict plus every counter a client (or
     /// the storm bench) wants in one read.
     fn health_json(&self) -> Json {
+        // Every stage kind gets a breaker entry, so a tripped `--chain ml`
+        // breaker shows too. The verdict rule is unchanged: the service is
+        // unserviceable only when every breaker of the full chain
+        // (exhaustive, heuristic, identity) is open; the multilevel
+        // breaker is reported but does not count towards it.
         let kinds = [
-            ("exhaustive", StageKind::Exhaustive),
-            ("heuristic", StageKind::Heuristic),
-            ("identity", StageKind::Identity),
+            StageKind::Exhaustive,
+            StageKind::Heuristic,
+            StageKind::Identity,
+            StageKind::Multilevel,
         ];
+        let full = FallbackChain::full().stages;
         let mut breakers = obj();
-        let mut open = 0;
-        for (name, kind) in kinds {
+        let mut full_open = 0;
+        for kind in kinds {
             let v = self.supervisor.breaker(kind);
-            if v.state == BreakerState::Open {
-                open += 1;
+            if v.state == BreakerState::Open && full.contains(&kind) {
+                full_open += 1;
             }
             breakers = breakers.field(
-                name,
+                kind.name(),
                 obj()
                     .field("state", v.state.to_string())
                     .field("consecutive_failures", u64::from(v.consecutive_failures))
@@ -701,7 +708,7 @@ impl Daemon {
             );
         }
         let draining = self.draining.load(Ordering::SeqCst);
-        let service = if open == kinds.len() {
+        let service = if full_open == full.len() {
             "unserviceable"
         } else if draining || self.supervisor.any_tripped() {
             "degraded"

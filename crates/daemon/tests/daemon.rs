@@ -738,3 +738,70 @@ fn machine_daemon_health_reports_domains_and_compression() {
         assert!(health.contains(key), "health JSON missing {key}: {health}");
     }
 }
+
+/// A `--chain ml` breaker tripped by injected panics shows up in
+/// `health` under `breakers.multilevel`; with the full chain's breakers
+/// still closed the service verdict is `degraded`, not `unserviceable`.
+#[test]
+fn health_reports_a_tripped_multilevel_breaker() {
+    let socket = scratch("mlbreaker.sock");
+    let state = scratch("mlbreaker.state");
+    let _ = std::fs::remove_dir_all(&state);
+    let _ = std::fs::remove_file(&socket);
+
+    let mut config = ServerConfig::new(&socket, &state);
+    config.workers = 1;
+    let handle = Server::start(config).expect("start server");
+    let mut client = connect_within(&socket, Duration::from_secs(15));
+    client.set_timeout(Some(Duration::from_secs(60))).unwrap();
+
+    // the default breaker threshold is three consecutive failures
+    for msgsize in 1..=3 {
+        let mut req = map_request(msgsize);
+        if let Json::Obj(fields) = &mut req {
+            fields.push(("chain".to_string(), Json::from("ml")));
+            fields.push((
+                "chaos".to_string(),
+                Json::from(format!("seed={msgsize},panic=1,only=multilevel")),
+            ));
+        }
+        let (kind, msg) = client.request(&req).expect_err("every ml attempt panics");
+        assert_eq!(kind, "unserviceable", "{msg}");
+    }
+
+    let health = client
+        .request(&obj().field("op", "health").build())
+        .unwrap();
+    let ml = health
+        .get("breakers")
+        .and_then(|b| b.get("multilevel"))
+        .unwrap_or_else(|| panic!("no multilevel breaker: {}", health.render()));
+    assert_eq!(
+        ml.get("state").and_then(Json::as_str),
+        Some("open"),
+        "{}",
+        health.render()
+    );
+    assert!(
+        ml.get("trips").and_then(Json::as_u64).unwrap_or(0) >= 1,
+        "{}",
+        health.render()
+    );
+    for kind in ["exhaustive", "heuristic", "identity"] {
+        let b = health.get("breakers").and_then(|b| b.get(kind));
+        assert_eq!(
+            b.and_then(|b| b.get("state")).and_then(Json::as_str),
+            Some("closed"),
+            "{kind}: {}",
+            health.render()
+        );
+    }
+    assert_eq!(
+        health.get("service").and_then(Json::as_str),
+        Some("degraded"),
+        "{}",
+        health.render()
+    );
+    drop(client);
+    handle.shutdown();
+}

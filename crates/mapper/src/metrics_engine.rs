@@ -16,12 +16,17 @@
 //! * per-processor compute ledgers — task counts, summed execution time,
 //!   and per-execution-phase time;
 //! * the IPC split (crossing vs internalised volume);
-//! * incrementally maintained aggregates (max dilation, max contention,
-//!   max link volume per phase, plus the global busiest-link volume):
-//!   increases update a maximum in O(1); a dirty flag per ledger is set
-//!   only when an edit *removes* load from an entry holding the current
-//!   maximum, and [`refresh`](MetricsEngine::snapshot) re-scans exactly
-//!   the dirtied ledgers once per edit.
+//! * incrementally maintained aggregates. Max dilation comes from a
+//!   per-phase dilation histogram and is exact after every route swap: a
+//!   removal that empties the top bucket walks down past empty buckets,
+//!   O(diameter). Max contention and max link volume per phase, the
+//!   global busiest-link volume, and the per-processor execution maxima
+//!   grow in O(1); a dirty flag is set only when an edit *removes* load
+//!   from an entry holding the current maximum, and the refresh behind
+//!   every edit re-scans exactly the dirtied links (O(L)) or processors
+//!   (O(P)) once. So an edit costs O(routes touched × path length +
+//!   links), never O(edges), and a [`MetricsEngine::snapshot`] is
+//!   O(phases).
 //!
 //! [`MetricsEngine::apply`] takes an [`Edit`] — `Reassign`, `Reroute`, or
 //! `Fault` — and returns a [`MetricsDelta`] carrying the metric snapshot
@@ -243,24 +248,28 @@ pub struct MetricsDelta {
     pub edges_touched: usize,
 }
 
-/// Per-phase link-load ledger plus lazily refreshed aggregates.
+/// Per-phase link-load ledger plus maintained aggregates.
 #[derive(Clone, Debug)]
 struct PhaseLedger {
     /// Dilation of every edge of the phase (hops; 0 = co-located).
     dilations: Vec<usize>,
     /// Σ dilations, maintained incrementally.
     dil_sum: u64,
+    /// `dil_hist[d]` = number of edges at dilation `d`.
+    dil_hist: Vec<usize>,
+    /// max(dilations), exact at all times (the top non-empty bucket of
+    /// `dil_hist`, 0 for an empty phase).
+    max_dilation: usize,
     /// Messages crossing each link during the phase.
     link_messages: Vec<u64>,
     /// Volume crossing each link during the phase.
     link_volume: Vec<u64>,
-    /// max(dilations) — valid when `!dirty`.
-    max_dilation: usize,
     /// max(link_messages) — valid when `!dirty`.
     max_contention: u64,
     /// max(link_volume) — valid when `!dirty`.
     max_link_volume: u64,
-    /// Set by any edit touching the phase; cleared by the next refresh.
+    /// Set when an edit takes load off a link holding a link maximum;
+    /// cleared by the next refresh.
     dirty: bool,
 }
 
@@ -269,12 +278,33 @@ impl PhaseLedger {
         PhaseLedger {
             dilations: Vec::with_capacity(num_edges),
             dil_sum: 0,
+            dil_hist: Vec::new(),
+            max_dilation: 0,
             link_messages: vec![0; num_links],
             link_volume: vec![0; num_links],
-            max_dilation: 0,
             max_contention: 0,
             max_link_volume: 0,
             dirty: true,
+        }
+    }
+
+    /// Counts one edge at dilation `d`.
+    fn add_dilation(&mut self, d: usize) {
+        if d >= self.dil_hist.len() {
+            self.dil_hist.resize(d + 1, 0);
+        }
+        self.dil_hist[d] += 1;
+        self.dil_sum += d as u64;
+        self.max_dilation = self.max_dilation.max(d);
+    }
+
+    /// Uncounts one edge at dilation `d`; when that empties the top
+    /// bucket, the maximum walks down to the next non-empty one.
+    fn remove_dilation(&mut self, d: usize) {
+        self.dil_hist[d] -= 1;
+        self.dil_sum -= d as u64;
+        while self.max_dilation > 0 && self.dil_hist[self.max_dilation] == 0 {
+            self.max_dilation -= 1;
         }
     }
 }
@@ -292,7 +322,6 @@ struct EngineState {
     tasks_per_proc: Vec<usize>,
     exec_time_per_proc: Vec<u64>,
     exec_per_proc: Vec<Vec<u64>>,
-    exec_slot: Vec<u64>,
     total_ipc: u64,
     internalized: u64,
 }
@@ -328,9 +357,11 @@ pub struct MetricsEngine<'a> {
     /// seeded by [`MetricsEngine::try_new_with_table`], replaced by
     /// `Fault` edits with the degraded masked table.
     table: Option<Arc<RouteTable>>,
-    /// `incident[task]` = every `(phase, edge)` touching the task —
+    /// `incident[incident_at[t]..incident_at[t + 1]]` = every `(phase,
+    /// edge)` touching task `t`, in phase-then-edge order — a flat CSR
     /// precomputed so a reassign walks its incident edges, not the graph.
-    incident: Vec<Vec<(usize, usize)>>,
+    incident_at: Vec<usize>,
+    incident: Vec<(usize, usize)>,
     phases: Vec<PhaseLedger>,
     total_link_volume: Vec<u64>,
     /// max over `total_link_volume` — valid when `!total_dirty`.
@@ -342,6 +373,11 @@ pub struct MetricsEngine<'a> {
     exec_per_proc: Vec<Vec<u64>>,
     /// max over procs per exec phase — valid when `!exec_dirty`.
     exec_slot: Vec<u64>,
+    /// max over `exec_time_per_proc` — valid when `!exec_dirty`.
+    max_exec_time: u64,
+    /// Σ `exec_time_per_proc`; a reassign only moves cost between
+    /// processors, so it changes only when the ledgers are rebuilt.
+    exec_total: u64,
     exec_dirty: bool,
     total_ipc: u64,
     internalized: u64,
@@ -375,7 +411,9 @@ impl<'a> MetricsEngine<'a> {
         Self::build(tg, Cow::Borrowed(net), Cow::Borrowed(mapping), model, Some(table))
     }
 
-    fn build(
+    /// The shared constructor. Crate callers that own their mapping pass
+    /// `Cow::Owned` so the first edit does not clone it.
+    pub(crate) fn build(
         tg: &'a TaskGraph,
         net: Cow<'a, Network>,
         mapping: Cow<'a, Mapping>,
@@ -383,12 +421,27 @@ impl<'a> MetricsEngine<'a> {
         table: Option<Arc<RouteTable>>,
     ) -> Result<MetricsEngine<'a>, MappingError> {
         mapping.validate(tg, &net)?;
-        let mut incident = vec![Vec::new(); tg.num_tasks()];
+        let n = tg.num_tasks();
+        let mut incident_at = vec![0usize; n + 1];
+        for (_, e) in tg.all_edges() {
+            incident_at[e.src.index() + 1] += 1;
+            if e.dst.index() != e.src.index() {
+                incident_at[e.dst.index() + 1] += 1;
+            }
+        }
+        for t in 0..n {
+            incident_at[t + 1] += incident_at[t];
+        }
+        let mut cursor = incident_at[..n].to_vec();
+        let mut incident = vec![(0, 0); incident_at[n]];
         for (k, phase) in tg.comm_phases.iter().enumerate() {
             for (i, e) in phase.edges.iter().enumerate() {
-                incident[e.src.index()].push((k, i));
-                if e.dst.index() != e.src.index() {
-                    incident[e.dst.index()].push((k, i));
+                let (src, dst) = (e.src.index(), e.dst.index());
+                incident[cursor[src]] = (k, i);
+                cursor[src] += 1;
+                if dst != src {
+                    incident[cursor[dst]] = (k, i);
+                    cursor[dst] += 1;
                 }
             }
         }
@@ -398,6 +451,7 @@ impl<'a> MetricsEngine<'a> {
             mapping,
             model: model.clone(),
             table,
+            incident_at,
             incident,
             phases: Vec::new(),
             total_link_volume: Vec::new(),
@@ -407,6 +461,8 @@ impl<'a> MetricsEngine<'a> {
             exec_time_per_proc: Vec::new(),
             exec_per_proc: Vec::new(),
             exec_slot: Vec::new(),
+            max_exec_time: 0,
+            exec_total: 0,
             exec_dirty: true,
             total_ipc: 0,
             internalized: 0,
@@ -436,6 +492,7 @@ impl<'a> MetricsEngine<'a> {
             let mut led = PhaseLedger::empty(nl, phase.edges.len());
             if !routed {
                 led.dilations = vec![0; phase.edges.len()];
+                led.dil_hist = vec![phase.edges.len()];
                 phases.push(led);
                 continue;
             }
@@ -443,7 +500,7 @@ impl<'a> MetricsEngine<'a> {
                 let path = &mapping.routes[k][i];
                 let d = path.len() - 1;
                 led.dilations.push(d);
-                led.dil_sum += d as u64;
+                led.add_dilation(d);
                 for w in path.windows(2) {
                     let l = net
                         .link_between(w[0], w[1])
@@ -483,6 +540,7 @@ impl<'a> MetricsEngine<'a> {
         self.total_link_volume = total_link_volume;
         self.total_dirty = true;
         self.tasks_per_proc = tasks_per_proc;
+        self.exec_total = exec_time_per_proc.iter().sum();
         self.exec_time_per_proc = exec_time_per_proc;
         self.exec_per_proc = exec_per_proc;
         self.exec_dirty = true;
@@ -490,12 +548,14 @@ impl<'a> MetricsEngine<'a> {
         self.internalized = internalized;
     }
 
-    /// Re-scans the aggregates of dirty phases. Every public entry point
-    /// leaves the engine refreshed, so accessors never see stale maxima.
+    /// Re-scans the link maxima of dirty phases, the busiest total link
+    /// and the execution maxima when dirty — O(L) or O(P) each, never
+    /// O(edges): dilation maxima are exact without a rescan. Every public
+    /// entry point leaves the engine refreshed, so accessors never see
+    /// stale maxima.
     fn refresh(&mut self) {
         for led in &mut self.phases {
             if led.dirty {
-                led.max_dilation = led.dilations.iter().copied().max().unwrap_or(0);
                 led.max_contention = led.link_messages.iter().copied().max().unwrap_or(0);
                 led.max_link_volume = led.link_volume.iter().copied().max().unwrap_or(0);
                 led.dirty = false;
@@ -511,6 +571,7 @@ impl<'a> MetricsEngine<'a> {
                 .iter()
                 .map(|pp| pp.iter().copied().max().unwrap_or(0))
                 .collect();
+            self.max_exec_time = self.exec_time_per_proc.iter().copied().max().unwrap_or(0);
             self.exec_dirty = false;
         }
     }
@@ -582,7 +643,6 @@ impl<'a> MetricsEngine<'a> {
                     tasks_per_proc,
                     exec_time_per_proc,
                     exec_per_proc,
-                    exec_slot,
                     total_ipc,
                     internalized,
                 } = *state;
@@ -595,8 +655,7 @@ impl<'a> MetricsEngine<'a> {
                 self.tasks_per_proc = tasks_per_proc;
                 self.exec_time_per_proc = exec_time_per_proc;
                 self.exec_per_proc = exec_per_proc;
-                self.exec_slot = exec_slot;
-                self.exec_dirty = false;
+                self.exec_dirty = true;
                 self.total_ipc = total_ipc;
                 self.internalized = internalized;
                 touched
@@ -634,14 +693,16 @@ impl<'a> MetricsEngine<'a> {
         // routing failure leaves the engine untouched. Route-less mappings
         // (load-only analysis) move the assignment alone, like
         // [`Mapping::reassign`].
-        let mut new_routes = Vec::with_capacity(self.incident[task].len());
+        let mut new_routes =
+            Vec::with_capacity(self.incident_at[task + 1] - self.incident_at[task]);
         if !self.mapping.routes.is_empty() {
             self.ensure_table()?;
             let table = self.table.as_deref().expect("ensured above");
             let tg = self.tg;
             let net: &Network = &self.net;
             let mapping: &Mapping = &self.mapping;
-            for &(k, i) in &self.incident[task] {
+            let incident = &self.incident[self.incident_at[task]..self.incident_at[task + 1]];
+            for &(k, i) in incident {
                 let e = &tg.comm_phases[k].edges[i];
                 let from = if e.src.index() == task { proc } else { mapping.assignment[e.src.index()] };
                 let to = if e.dst.index() == task { proc } else { mapping.assignment[e.dst.index()] };
@@ -684,23 +745,37 @@ impl<'a> MetricsEngine<'a> {
         let tg = self.tg;
         let old_proc = self.mapping.assignment[task];
 
-        // per-processor compute ledgers
-        self.tasks_per_proc[old_proc.index()] -= 1;
-        self.tasks_per_proc[new_proc.index()] += 1;
+        // per-processor compute ledgers; as for links, a maximum is only
+        // rescanned when the processor losing load held it
+        let (old, new) = (old_proc.index(), new_proc.index());
+        self.tasks_per_proc[old] -= 1;
+        self.tasks_per_proc[new] += 1;
         let cost = tg.exec_cost(task.into());
-        self.exec_time_per_proc[old_proc.index()] -= cost;
-        self.exec_time_per_proc[new_proc.index()] += cost;
+        if cost > 0 && self.exec_time_per_proc[old] == self.max_exec_time {
+            self.exec_dirty = true;
+        }
+        self.exec_time_per_proc[old] -= cost;
+        self.exec_time_per_proc[new] += cost;
         for (x, ph) in tg.exec_phases.iter().enumerate() {
             let c = ph.cost.of(task.into());
-            self.exec_per_proc[x][old_proc.index()] -= c;
-            self.exec_per_proc[x][new_proc.index()] += c;
+            if c > 0 && self.exec_per_proc[x][old] == self.exec_slot[x] {
+                self.exec_dirty = true;
+            }
+            self.exec_per_proc[x][old] -= c;
+            self.exec_per_proc[x][new] += c;
         }
-        self.exec_dirty = true;
+        if !self.exec_dirty {
+            self.max_exec_time = self.max_exec_time.max(self.exec_time_per_proc[new]);
+            for (slot, pp) in self.exec_slot.iter_mut().zip(&self.exec_per_proc) {
+                *slot = (*slot).max(pp[new]);
+            }
+        }
 
         // IPC split: colocation of each incident edge before vs after the
         // move (driven by the incidence list, not the routes, so the split
         // stays right for route-less mappings too)
-        let colocated_before: Vec<bool> = self.incident[task]
+        let incident = &self.incident[self.incident_at[task]..self.incident_at[task + 1]];
+        let colocated_before: Vec<bool> = incident
             .iter()
             .map(|&(k, i)| {
                 let e = &tg.comm_phases[k].edges[i];
@@ -708,7 +783,7 @@ impl<'a> MetricsEngine<'a> {
             })
             .collect();
         self.mapping.to_mut().assignment[task] = new_proc;
-        for (idx, &(k, i)) in self.incident[task].iter().enumerate() {
+        for (idx, &(k, i)) in incident.iter().enumerate() {
             let e = &tg.comm_phases[k].edges[i];
             let colocated_now =
                 self.mapping.assignment[e.src.index()] == self.mapping.assignment[e.dst.index()];
@@ -742,16 +817,17 @@ impl<'a> MetricsEngine<'a> {
         let mapping = self.mapping.to_mut();
         let old = std::mem::replace(&mut mapping.routes[k][i], path);
 
-        // Un-ledger the displaced path. Maxima only shrink on this side,
-        // and only when the touched entry held the current maximum — mark
-        // the ledger dirty (full rescan at the next refresh) exactly then,
-        // so the common edit keeps every aggregate in O(1).
-        let d_old = old.len() - 1;
-        led.dil_sum -= d_old as u64;
-        let new_len = mapping.routes[k][i].len();
-        if new_len - 1 < d_old && d_old == led.max_dilation {
-            led.dirty = true;
-        }
+        // Dilation: swap the edge between histogram buckets (the new one
+        // first, so the maximum only walks down when it really drops).
+        let d_new = mapping.routes[k][i].len() - 1;
+        led.dilations[i] = d_new;
+        led.add_dilation(d_new);
+        led.remove_dilation(old.len() - 1);
+
+        // Un-ledger the displaced path. Link maxima only shrink on this
+        // side, and only when the touched entry held the current maximum —
+        // mark the ledger dirty (O(L) rescan at the next refresh) exactly
+        // then, so the common edit keeps every aggregate in O(1).
         for w in old.windows(2) {
             let l = net.link_between(w[0], w[1]).expect("ledgered route").index();
             if led.link_messages[l] == led.max_contention
@@ -768,14 +844,7 @@ impl<'a> MetricsEngine<'a> {
         }
         // Ledger the new one. Maxima only grow on this side, so a clean
         // ledger stays clean under O(1) max updates.
-        let new = &mapping.routes[k][i];
-        let d_new = new.len() - 1;
-        led.dilations[i] = d_new;
-        led.dil_sum += d_new as u64;
-        if !led.dirty {
-            led.max_dilation = led.max_dilation.max(d_new);
-        }
-        for w in new.windows(2) {
+        for w in mapping.routes[k][i].windows(2) {
             let l = net.link_between(w[0], w[1]).expect("checked route").index();
             led.link_messages[l] += 1;
             led.link_volume[l] = led.link_volume[l].saturating_add(volume);
@@ -902,7 +971,6 @@ impl<'a> MetricsEngine<'a> {
             tasks_per_proc: self.tasks_per_proc.clone(),
             exec_time_per_proc: self.exec_time_per_proc.clone(),
             exec_per_proc: self.exec_per_proc.clone(),
-            exec_slot: self.exec_slot.clone(),
             total_ipc: self.total_ipc,
             internalized: self.internalized,
         })));
@@ -1023,14 +1091,13 @@ impl<'a> MetricsEngine<'a> {
 
     /// Maximum per-processor execution time.
     pub fn max_exec_time(&self) -> u64 {
-        self.exec_time_per_proc.iter().copied().max().unwrap_or(0)
+        self.max_exec_time
     }
 
     /// Load-imbalance ratio ×1000 (max/mean; 0 without execution cost).
     pub fn imbalance_millis(&self) -> u64 {
-        let total: u64 = self.exec_time_per_proc.iter().sum();
-        (self.max_exec_time().saturating_mul(1000).saturating_mul(self.net.num_procs() as u64))
-            .checked_div(total)
+        (self.max_exec_time.saturating_mul(1000).saturating_mul(self.net.num_procs() as u64))
+            .checked_div(self.exec_total)
             .unwrap_or(0)
     }
 
