@@ -1,9 +1,13 @@
 //! The `oregamid` server: accept loop, connection readers, dispatch.
 //!
-//! One thread accepts connections (nonblocking, so it can poll the stop
-//! flag a SIGTERM handler sets); each connection gets a reader thread
-//! that parses frames and dispatches. Cheap operations — health,
-//! session commands, shutdown — are answered inline on the reader.
+//! One thread accepts connections. Between accepts it blocks in
+//! `poll(2)` on the listener for at most 15 ms, so a new connection is
+//! taken at once and the stop flag a SIGTERM handler sets is still seen
+//! within 15 ms. Each connection gets a reader thread that parses
+//! frames and dispatches, and that forgets its connection when the
+//! client hangs up; the accept loop drops finished readers, so fds and
+//! thread stacks stay bounded under one-shot load. Cheap operations —
+//! health, session commands, shutdown — are answered inline on the reader.
 //! Compute operations (`map`/`repair`/`metrics`) pass the admission
 //! gate, coalesce with identical in-flight work, and run on the
 //! work-stealing scheduler; their responses are published through the
@@ -30,12 +34,51 @@ use oregami::{
     SupervisorState,
 };
 
+use std::collections::HashMap;
+use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// How long the accept loop waits for a connection before it looks at
+/// the stop flag again, and its back-off after an accept error.
+const ACCEPT_TICK: Duration = Duration::from_millis(15);
+
+/// `struct pollfd` from `<poll.h>`.
+#[repr(C)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
+const POLLIN: i16 = 1;
+
+extern "C" {
+    /// `nfds` is `nfds_t`, an `unsigned long` on Linux.
+    fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: i32) -> i32;
+}
+
+/// Blocks until `listener` has a connection pending or `timeout` passes.
+/// A signal cuts the wait short; any other poll failure waits out the
+/// timeout, so the caller never spins.
+fn wait_for_connection(listener: &UnixListener, timeout: Duration) {
+    let mut pfd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let millis = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+    // SAFETY: `pfd` is one valid `pollfd` that outlives the call, and the
+    // listener keeps its fd open for the call's duration.
+    let rc = unsafe { poll(&mut pfd, 1, millis) };
+    if rc < 0 && std::io::Error::last_os_error().kind() != std::io::ErrorKind::Interrupted {
+        std::thread::sleep(timeout);
+    }
+}
 
 /// How the daemon is wired together.
 #[derive(Clone, Debug)]
@@ -117,6 +160,14 @@ struct Daemon {
     /// the accept loop exits.
     draining: AtomicBool,
     requests: AtomicU64,
+    /// Connections accepted since start.
+    accepted: AtomicU64,
+    /// Accept failures other than "nothing pending" (EMFILE and the like).
+    accept_errors: AtomicU64,
+    /// A handle on every open connection, keyed by connection id, so
+    /// drain can shut them down. Each reader removes its own entry when
+    /// its client goes.
+    conns: Mutex<HashMap<u64, UnixStream>>,
     started: Instant,
     resumed_sessions: usize,
     resume_failures: usize,
@@ -229,6 +280,9 @@ impl Server {
             compression: Mutex::new(None),
             draining: AtomicBool::new(false),
             requests: AtomicU64::new(0),
+            accepted: AtomicU64::new(0),
+            accept_errors: AtomicU64::new(0),
+            conns: Mutex::new(HashMap::new()),
             started: Instant::now(),
             resumed_sessions: resumed.len(),
             resume_failures: failed.len(),
@@ -259,36 +313,43 @@ impl Server {
     /// final health/stats object.
     pub fn serve(self, stop: &AtomicBool) -> Json {
         let daemon = self.daemon;
-        let mut readers = Vec::new();
-        let conns: Arc<Mutex<Vec<UnixStream>>> = Arc::new(Mutex::new(Vec::new()));
-        let mut next_conn = 0u64;
+        let mut readers: Vec<std::thread::JoinHandle<()>> = Vec::new();
         loop {
             if stop.load(Ordering::SeqCst) || daemon.draining.load(Ordering::SeqCst) {
                 break;
             }
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    next_conn += 1;
-                    let conn_id = next_conn;
+                    // joining a finished reader returns at once and
+                    // frees its stack
+                    for h in readers.extract_if(.., |h| h.is_finished()) {
+                        let _ = h.join();
+                    }
+                    let conn_id = daemon.accepted.fetch_add(1, Ordering::Relaxed) + 1;
                     let _ = stream.set_nonblocking(false);
                     if let Ok(clone) = stream.try_clone() {
-                        conns
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .push(clone);
+                        daemon.live_conns().insert(conn_id, clone);
                     }
                     let d = Arc::clone(&daemon);
-                    if let Ok(h) = std::thread::Builder::new()
+                    match std::thread::Builder::new()
                         .name(format!("oregamid-conn-{conn_id}"))
-                        .spawn(move || handle_conn(&d, conn_id, stream))
-                    {
-                        readers.push(h);
+                        .spawn(move || {
+                            handle_conn(&d, conn_id, stream);
+                            d.live_conns().remove(&conn_id);
+                        }) {
+                        Ok(h) => readers.push(h),
+                        Err(_) => {
+                            daemon.live_conns().remove(&conn_id);
+                        }
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(15));
+                    wait_for_connection(&self.listener, ACCEPT_TICK);
                 }
-                Err(_) => std::thread::sleep(Duration::from_millis(15)),
+                Err(_) => {
+                    daemon.accept_errors.fetch_add(1, Ordering::Relaxed);
+                    std::thread::sleep(ACCEPT_TICK);
+                }
             }
         }
         // ---- graceful drain ----
@@ -300,11 +361,7 @@ impl Server {
         // session actors park; journals and meta files stay for --resume
         daemon.sessions.shutdown();
         // now unblock every reader still waiting on its client
-        for s in conns
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .drain(..)
-        {
+        for (_, s) in daemon.live_conns().drain() {
             let _ = s.shutdown(std::net::Shutdown::Both);
         }
         for h in readers {
@@ -514,6 +571,10 @@ fn error_payload(e: &OregamiError) -> (String, String) {
 type SystemAndDomains = Result<(Oregami, Option<Arc<oregami::DomainMap>>), (String, String)>;
 
 impl Daemon {
+    fn live_conns(&self) -> MutexGuard<'_, HashMap<u64, UnixStream>> {
+        self.conns.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Compiles (or fetches) the task graph for `spec` through the
     /// shared incremental front end: the `Db` memoizes by content
     /// fingerprint at every stage, so a repeat of `(source, params)` is
@@ -721,6 +782,14 @@ impl Daemon {
             .field("draining", draining)
             .field("uptime_ms", self.started.elapsed().as_millis() as u64)
             .field("requests", self.requests.load(Ordering::Relaxed))
+            .field(
+                "connections",
+                obj()
+                    .field("accepted", self.accepted.load(Ordering::Relaxed))
+                    .field("open", self.live_conns().len())
+                    .build(),
+            )
+            .field("accept_errors", self.accept_errors.load(Ordering::Relaxed))
             .field("admitted", self.gate.admitted.load(Ordering::Relaxed))
             .field(
                 "shed",

@@ -805,3 +805,70 @@ fn health_reports_a_tripped_multilevel_breaker() {
     drop(client);
     handle.shutdown();
 }
+
+fn one_shot_health(socket: &Path) -> Json {
+    let mut client = Client::connect(socket).expect("connect");
+    client.set_timeout(Some(Duration::from_secs(30))).unwrap();
+    client
+        .request(&obj().field("op", "health").build())
+        .expect("one-shot health")
+}
+
+fn connections(health: &Json, field: &str) -> u64 {
+    health
+        .get("connections")
+        .and_then(|c| c.get(field))
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("no connections.{field}: {}", health.render()))
+}
+
+/// One-shot clients, a fresh connection per request as `oregami
+/// --socket` makes them, are accepted as soon as they connect rather
+/// than on the accept loop's next tick; and once they hang up the
+/// daemon holds no connection for them.
+#[test]
+fn one_shot_requests_are_accepted_promptly_and_reaped() {
+    let socket = scratch("oneshot.sock");
+    let state = scratch("oneshot.state");
+    let _ = std::fs::remove_dir_all(&state);
+    let _ = std::fs::remove_file(&socket);
+
+    let handle = Server::start(ServerConfig::new(&socket, &state)).expect("start server");
+    drop(connect_within(&socket, Duration::from_secs(15)));
+
+    const ONE_SHOTS: u64 = 200;
+    let t0 = Instant::now();
+    for _ in 0..ONE_SHOTS {
+        one_shot_health(&socket);
+    }
+    let elapsed = t0.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "{ONE_SHOTS} sequential one-shot health requests took {elapsed:?}"
+    );
+
+    // every client has gone: only the connection asking stays open
+    let t0 = Instant::now();
+    let health = loop {
+        let health = one_shot_health(&socket);
+        if connections(&health, "open") <= 1 {
+            break health;
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "finished connections were not reaped: {}",
+            health.render()
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(connections(&health, "accepted") > ONE_SHOTS, "{}", health.render());
+    assert_eq!(
+        health.get("accept_errors").and_then(Json::as_u64),
+        Some(0),
+        "{}",
+        health.render()
+    );
+
+    let stats = handle.shutdown();
+    assert_eq!(connections(&stats, "open"), 0, "{}", stats.render());
+}
