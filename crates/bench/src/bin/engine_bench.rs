@@ -10,13 +10,16 @@
 //! The budgeted workload gives every mode the same step quota: the
 //! sequential engine burns it front-to-back (exhaustive first), while the
 //! parallel engine splits it across stages that run concurrently, so the
-//! chain's wall-clock drops roughly with the thread count. A separate
+//! chain's wall-clock drops roughly with the thread count. The two
+//! supervised modes run the same chain under the stage supervisor
+//! (watchdog, retry, circuit breakers) at one and four threads and must
+//! serve the same cost as their unsupervised counterparts. A separate
 //! unlimited-budget check asserts the determinism contract: parallel and
 //! sequential runs serve the identical candidate.
 
 use oregami::graph::TaskGraph;
 use oregami::larcs::{compile, programs};
-use oregami::mapper::{run_engine_with, EngineConfig, EngineOutcome, StageStatus};
+use oregami::mapper::{run_engine_with, EngineConfig, EngineOutcome, StageStatus, SupervisorConfig};
 use oregami::topology::builders;
 use oregami::{Budget, FallbackChain, MapperOptions, Network, RouteTableCache};
 use oregami_bench::random_permutation_traffic;
@@ -31,8 +34,10 @@ const STEP_QUOTA: u64 = 2_000_000;
 struct ModeResult {
     label: &'static str,
     threads: usize,
+    supervised: bool,
     median_ms: f64,
     min_ms: f64,
+    max_ms: f64,
     served_by: String,
     completion: String,
     cost: u64,
@@ -58,6 +63,7 @@ fn median(samples: &mut [f64]) -> f64 {
 fn run_mode(
     label: &'static str,
     threads: usize,
+    supervised: bool,
     tg: &TaskGraph,
     net: &Network,
     cache: &Arc<RouteTableCache>,
@@ -65,7 +71,10 @@ fn run_mode(
 ) -> ModeResult {
     let chain = FallbackChain::full();
     let opts = MapperOptions::default();
-    let config = EngineConfig::with_cache(Arc::clone(cache)).threads(threads);
+    let mut config = EngineConfig::with_cache(Arc::clone(cache)).threads(threads);
+    if supervised {
+        config = config.supervised(SupervisorConfig::default());
+    }
     let mut samples = Vec::with_capacity(reps);
     let mut last = None;
     for _ in 0..reps {
@@ -77,11 +86,14 @@ fn run_mode(
         last = Some(outcome);
     }
     let outcome = last.expect("at least one rep");
+    let median_ms = median(&mut samples); // sorts the samples
     ModeResult {
         label,
         threads,
-        median_ms: median(&mut samples),
-        min_ms: samples.iter().copied().fold(f64::INFINITY, f64::min),
+        supervised,
+        median_ms,
+        min_ms: samples[0],
+        max_ms: samples[samples.len() - 1],
         served_by: outcome.engine.served_by.name().to_string(),
         completion: outcome.engine.completion.to_string(),
         cost: served_cost(&outcome),
@@ -137,21 +149,27 @@ fn main() {
 
     println!("engine bench: perm16 on {}, quota {STEP_QUOTA} steps, {reps} reps/mode", net.name);
     let modes = [
-        run_mode("sequential", 1, &tg, &net, &cache, reps),
-        run_mode("threads2", 2, &tg, &net, &cache, reps),
-        run_mode("threads4", 4, &tg, &net, &cache, reps),
+        run_mode("sequential", 1, false, &tg, &net, &cache, reps),
+        run_mode("threads2", 2, false, &tg, &net, &cache, reps),
+        run_mode("threads4", 4, false, &tg, &net, &cache, reps),
+        run_mode("supervised", 1, true, &tg, &net, &cache, reps),
+        run_mode("supervised-threads4", 4, true, &tg, &net, &cache, reps),
     ];
     for m in &modes {
         println!(
-            "  {:<10} median {:8.2} ms  min {:8.2} ms  served by {} ({}), cost {}",
-            m.label, m.median_ms, m.min_ms, m.served_by, m.completion, m.cost
+            "  {:<19} median {:8.2} ms  min {:8.2} ms  max {:8.2} ms  served by {} ({}), cost {}",
+            m.label, m.median_ms, m.min_ms, m.max_ms, m.served_by, m.completion, m.cost
         );
     }
+    // supervision changes how stages are watched, never what is served
+    assert_eq!(modes[3].cost, modes[0].cost, "supervised vs sequential cost");
+    assert_eq!(modes[4].cost, modes[2].cost, "supervised-threads4 vs threads4 cost");
     let speedup = |m: &ModeResult| modes[0].median_ms / m.median_ms;
     println!(
-        "  speedup: {:.2}x (2 threads), {:.2}x (4 threads)",
+        "  speedup: {:.2}x (2 threads), {:.2}x (4 threads), {:.2}x (supervised, 4 threads vs 1)",
         speedup(&modes[1]),
-        speedup(&modes[2])
+        speedup(&modes[2]),
+        modes[3].median_ms / modes[4].median_ms
     );
 
     let stats = cache.stats();
@@ -174,15 +192,20 @@ fn main() {
     json.push_str("  \"chain\": \"exhaustive -> heuristic -> identity\",\n");
     json.push_str(&format!("  \"step_quota\": {STEP_QUOTA},\n"));
     json.push_str(&format!("  \"reps_per_mode\": {reps},\n"));
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    json.push_str(&format!("  \"host_nproc\": {nproc},\n"));
     json.push_str("  \"modes\": [\n");
     for (i, m) in modes.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"threads\": {}, \"median_ms\": {:.3}, \"min_ms\": {:.3}, \
-             \"served_by\": \"{}\", \"completion\": \"{}\", \"cost\": {}}}{}\n",
+            "    {{\"mode\": \"{}\", \"threads\": {}, \"supervised\": {}, \"median_ms\": {:.3}, \
+             \"min_ms\": {:.3}, \"max_ms\": {:.3}, \"served_by\": \"{}\", \"completion\": \"{}\", \
+             \"cost\": {}}}{}\n",
             m.label,
             m.threads,
+            m.supervised,
             m.median_ms,
             m.min_ms,
+            m.max_ms,
             m.served_by,
             m.completion,
             m.cost,
@@ -194,6 +217,10 @@ fn main() {
         "  \"speedup_threads2\": {:.3},\n  \"speedup_threads4\": {:.3},\n",
         speedup(&modes[1]),
         speedup(&modes[2])
+    ));
+    json.push_str(&format!(
+        "  \"speedup_supervised_threads4\": {:.3},\n",
+        modes[3].median_ms / modes[4].median_ms
     ));
     json.push_str(&format!(
         "  \"cache\": {{\"hits\": {}, \"misses\": {}, \"hit_rate\": {:.3}}},\n",

@@ -298,7 +298,7 @@ pub fn parse_request(msg: &Json) -> Result<Request, WireError> {
         "session_stream" => {
             let topology = get_str(msg, "topology")?;
             if let Some(t) = &topology {
-                crate::topo::parse_topology(t).map_err(bad)?;
+                crate::topo::parse_target(t).map_err(bad)?;
             }
             let events = match msg.get("events") {
                 None | Some(Json::Null) => Vec::new(),

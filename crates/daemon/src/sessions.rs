@@ -17,7 +17,7 @@
 
 use crate::json::{obj, Json};
 use crate::protocol::{MapSpec, KIND_BAD_REQUEST, KIND_SHUTTING_DOWN};
-use crate::topo::parse_topology;
+use crate::topo::parse_target;
 use oregami::replay::{self, ReplayOp};
 use oregami::{
     Budget, ChurnConfig, InteractiveSession, Journal, MapperOptions, MetricSnapshot,
@@ -176,8 +176,8 @@ impl SessionRegistry {
                         format!("no stream session '{name}'; give 'topology' to open one"),
                     )
                 })?;
-                let net =
-                    parse_topology(topo).map_err(|e| (KIND_BAD_REQUEST.to_string(), e))?;
+                let (net, _) =
+                    parse_target(topo).map_err(|e| (KIND_BAD_REQUEST.to_string(), e))?;
                 let cfg = ChurnConfig {
                     load_bound: load_bound.unwrap_or(ChurnConfig::default().load_bound),
                     ..ChurnConfig::default()
@@ -276,7 +276,7 @@ impl SessionRegistry {
             .get("topology")
             .and_then(Json::as_str)
             .ok_or_else(|| internal("stream meta missing 'topology'"))?;
-        let net = parse_topology(topo).map_err(|e| internal(&e))?;
+        let (net, _) = parse_target(topo).map_err(|e| internal(&e))?;
         let (session, recovery) = StreamSession::resume(net, &self.journal_path(name))
             .map_err(|e| internal(&e.to_string()))?;
         if recovery.truncated {
@@ -419,8 +419,8 @@ fn actor(
     ready: mpsc::Sender<OpResult>,
     rx: mpsc::Receiver<SessionCmd>,
 ) {
-    let net = match parse_topology(&spec.topology) {
-        Ok(n) => n,
+    let net = match parse_target(&spec.topology) {
+        Ok((net, _)) => net,
         Err(e) => {
             let _ = ready.send(Err((KIND_BAD_REQUEST.to_string(), e)));
             return;

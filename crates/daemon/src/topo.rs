@@ -32,7 +32,7 @@ pub fn parse_target(spec: &str) -> Result<(Network, Option<Arc<DomainMap>>), Str
 }
 
 /// Builds a network from a `KIND[:ARGS]` spec string.
-pub fn parse_topology(spec: &str) -> Result<Network, String> {
+fn parse_topology(spec: &str) -> Result<Network, String> {
     let (kind, rest) = spec.split_once(':').unwrap_or((spec, ""));
     let int = |s: &str| -> Result<usize, String> {
         s.parse().map_err(|_| format!("bad number '{s}' in topology '{spec}'"))

@@ -737,6 +737,31 @@ fn machine_daemon_health_reports_domains_and_compression() {
     ] {
         assert!(health.contains(key), "health JSON missing {key}: {health}");
     }
+
+    // Sessions and streams accept the same machine specs as `map`.
+    let open = obj()
+        .field("op", "session_open")
+        .field("session", "boards")
+        .field("program", "jacobi")
+        .field("topology", "mesh-boards:2x2x2x2")
+        .field("params", obj().field("n", 4i64).field("iters", 1i64).build())
+        .build();
+    client.request(&open).expect("machine session_open");
+    client
+        .request(&edit_request("boards", "reassign 3 1"))
+        .expect("machine session edit");
+    let snapshot = client
+        .request(&session_op("session_snapshot", "boards"))
+        .expect("machine session snapshot");
+    assert!(snapshot.get("metrics").is_some(), "{}", snapshot.render());
+    let stream = obj()
+        .field("op", "session_stream")
+        .field("session", "board-churn")
+        .field("topology", "mesh-boards:2x2x2x2")
+        .field("events", Json::Arr(vec![Json::from("spawn 0 - 2 0")]))
+        .build();
+    let r = client.request(&stream).expect("machine session_stream");
+    assert_eq!(r.get("accepted").and_then(Json::as_u64), Some(1), "{}", r.render());
 }
 
 /// A `--chain ml` breaker tripped by injected panics shows up in

@@ -27,18 +27,20 @@
 //! * cancellation stops the chain immediately; whatever candidate exists
 //!   is served, else [`MapError::Cancelled`].
 //!
-//! With [`EngineConfig::parallelism`] set to [`Parallelism::Threads`],
-//! independent stages run concurrently on scoped worker threads, each
-//! behind its own panic isolation and a per-stage share of the step
-//! quota. A per-stage kill switch (layered on the shared [`CancelToken`]
-//! machinery) fires for every *later* stage the moment an earlier stage
-//! finishes [`Completion::Optimal`], so losers stop early — and the
-//! results are folded back **in chain order** under exactly the
-//! sequential rules above, so a parallel run serves the identical
-//! candidate, cost, and completion as a sequential run on the same
-//! inputs (when step quotas don't bind; a bounded quota is split across
-//! stages rather than consumed front-to-back, which can change which
-//! stage runs out first).
+//! One runner schedules every chain. With [`EngineConfig::parallelism`]
+//! set to [`Parallelism::Threads`], independent stages run concurrently
+//! on scoped worker threads, each behind its own panic isolation (or,
+//! with [`EngineConfig::supervisor`] set, its own watchdog, retry and
+//! circuit breaker) and a per-stage share of the step quota; at one
+//! worker the same loop runs on the caller's thread. A per-stage kill
+//! switch (layered on the shared [`CancelToken`] machinery) fires for
+//! every *later* stage the moment an earlier stage finishes
+//! [`Completion::Optimal`], so losers stop early — and the results are
+//! folded back **in chain order** under exactly the sequential rules
+//! above, so a parallel run serves the identical candidate, cost, and
+//! completion as a sequential run on the same inputs (when step quotas
+//! don't bind; a bounded quota is split across stages rather than
+//! consumed front-to-back, which can change which stage runs out first).
 
 use crate::budget::{Budget, CancelToken, Completion};
 use crate::contraction::mwm_contract_budgeted;
@@ -50,7 +52,7 @@ use crate::pipeline::{
     map_task_graph_budgeted_with_table, MapError, MapperOptions, MapperReport, Strategy,
 };
 use crate::routing::baseline::baseline_route_all;
-use crate::supervisor::{run_stages_supervised, served_health, ServiceHealth, SupervisorConfig};
+use crate::supervisor::{served_health, supervised_stage, ServiceHealth, SupervisorConfig};
 use oregami_graph::TaskGraph;
 use oregami_topology::{Network, ProcId, RouteTableCache};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -220,8 +222,7 @@ pub struct EngineConfig {
     /// worker thread with a deadline watchdog (non-polling stages get
     /// killed and, past the grace window, detached and reported
     /// [`StageStatus::Hung`]), bounded retry for transient failures, and
-    /// persistent per-stage circuit breakers. Supervised execution is
-    /// sequential — it overrides [`EngineConfig::parallelism`].
+    /// persistent per-stage circuit breakers.
     pub supervisor: Option<SupervisorConfig>,
 }
 
@@ -406,6 +407,67 @@ fn candidate_cost(tg: &TaskGraph, net: &Network, mapping: &Mapping, model: &Cost
         .unwrap_or(u64::MAX)
 }
 
+/// The chain-order fold: turns each [`RawStage`] into its
+/// [`StageReport`] under the sequential chain semantics, tracking the
+/// cheapest candidate and the worst completion seen.
+struct Fold<'a> {
+    tg: &'a TaskGraph,
+    net: &'a Network,
+    model: &'a CostModel,
+    stages: Vec<StageReport>,
+    /// (report, cost, index into `stages`) of the cheapest candidate.
+    best: Option<(MapperReport, u64, usize)>,
+    worst_completion: Completion,
+    /// An earlier stage ended the chain: later results are skips.
+    stop: bool,
+    cancelled: bool,
+}
+
+impl Fold<'_> {
+    fn push(&mut self, kind: StageKind, raw: RawStage) {
+        let ends_chain = raw.ends_chain();
+        let RawStage {
+            outcome,
+            elapsed,
+            steps,
+            attempts,
+        } = raw;
+        let (status, completion, cost) = if self.stop {
+            (StageStatus::Skipped, None, None)
+        } else {
+            self.stop = ends_chain;
+            match outcome {
+                RawOutcome::Candidate(report, completion) => {
+                    let cost = candidate_cost(self.tg, self.net, &report.mapping, self.model);
+                    self.worst_completion = self.worst_completion.worst(completion);
+                    self.cancelled |= completion == Completion::Cancelled;
+                    if self.best.as_ref().is_none_or(|(_, c, _)| cost < *c) {
+                        self.best = Some((report, cost, self.stages.len()));
+                    }
+                    (StageStatus::Candidate, Some(completion), Some(cost))
+                }
+                RawOutcome::Failed(e) => {
+                    self.cancelled |= matches!(e, MapError::Cancelled);
+                    (StageStatus::Failed(e.to_string()), None, None)
+                }
+                RawOutcome::Panicked(msg) => (StageStatus::Panicked(msg), None, None),
+                RawOutcome::Hung => (StageStatus::Hung, None, None),
+                RawOutcome::CircuitOpen => (StageStatus::CircuitOpen, None, None),
+                RawOutcome::NotRun => (StageStatus::Skipped, None, None),
+            }
+        };
+        self.stages.push(StageReport {
+            stage: kind,
+            status,
+            completion,
+            elapsed,
+            steps,
+            cost,
+            attempts,
+        });
+    }
+}
+
 /// Runs the fallback chain on `tg`/`net` under `budget` and serves the
 /// cheapest candidate, sequentially with a private route-table cache.
 /// See the module docs for the chain semantics;
@@ -448,16 +510,7 @@ pub fn run_engine_with(
     cache.get_or_build(net)?;
     let start = Instant::now();
 
-    let workers = config.parallelism.workers_for(chain.stages.len());
-    let raw = if let Some(sup) = &config.supervisor {
-        // Supervised execution is sequential: each stage runs on its own
-        // watched worker thread, so parallel scheduling is overridden.
-        run_stages_supervised(tg, net, opts, chain, budget, &cache, sup)
-    } else if workers > 1 {
-        run_stages_parallel(tg, net, opts, chain, budget, &cache, workers)
-    } else {
-        run_stages_sequential(tg, net, opts, chain, budget, &cache)
-    };
+    let raw = run_stages(tg, net, opts, &chain.stages, budget, &cache, config);
 
     // Fold the per-stage results back *in chain order* under the
     // sequential chain semantics. This is the determinism keystone: no
@@ -466,117 +519,18 @@ pub fn run_engine_with(
     // result a later stage produced before its kill switch caught it is
     // discarded as Skipped, and the serving rule sees exactly the
     // candidates a sequential run would have seen.
-    let mut stages: Vec<StageReport> = Vec::with_capacity(chain.stages.len());
-    let mut best: Option<(MapperReport, u64, usize)> = None; // (report, cost, stage index)
-    let mut worst_completion = Completion::Optimal;
-    let mut stop = false;
-    let mut cancelled = false;
-
-    for (idx, raw_stage) in raw.into_iter().enumerate() {
-        let kind = chain.stages[idx];
-        let RawStage {
-            outcome,
-            elapsed,
-            steps,
-            attempts,
-        } = raw_stage;
-        if stop {
-            stages.push(StageReport {
-                stage: kind,
-                status: StageStatus::Skipped,
-                completion: None,
-                elapsed,
-                steps,
-                cost: None,
-                attempts,
-            });
-            continue;
-        }
-        match outcome {
-            RawOutcome::Candidate(report, completion) => {
-                let cost = candidate_cost(tg, net, &report.mapping, &config.cost_model);
-                worst_completion = worst_completion.worst(completion);
-                if best.as_ref().is_none_or(|(_, c, _)| cost < *c) {
-                    best = Some((report, cost, stages.len()));
-                }
-                stages.push(StageReport {
-                    stage: kind,
-                    status: StageStatus::Candidate,
-                    completion: Some(completion),
-                    elapsed,
-                    steps,
-                    cost: Some(cost),
-                    attempts,
-                });
-                match completion {
-                    Completion::Optimal => stop = true,
-                    Completion::Cancelled => {
-                        stop = true;
-                        cancelled = true;
-                    }
-                    Completion::BudgetExhausted => {}
-                }
-            }
-            RawOutcome::Failed(e) => {
-                if matches!(e, MapError::Cancelled) {
-                    stop = true;
-                    cancelled = true;
-                }
-                stages.push(StageReport {
-                    stage: kind,
-                    status: StageStatus::Failed(e.to_string()),
-                    completion: None,
-                    elapsed,
-                    steps,
-                    cost: None,
-                    attempts,
-                });
-            }
-            RawOutcome::Panicked(msg) => {
-                stages.push(StageReport {
-                    stage: kind,
-                    status: StageStatus::Panicked(msg),
-                    completion: None,
-                    elapsed,
-                    steps,
-                    cost: None,
-                    attempts,
-                });
-            }
-            RawOutcome::Hung => {
-                stages.push(StageReport {
-                    stage: kind,
-                    status: StageStatus::Hung,
-                    completion: None,
-                    elapsed,
-                    steps,
-                    cost: None,
-                    attempts,
-                });
-            }
-            RawOutcome::CircuitOpen => {
-                stages.push(StageReport {
-                    stage: kind,
-                    status: StageStatus::CircuitOpen,
-                    completion: None,
-                    elapsed,
-                    steps,
-                    cost: None,
-                    attempts,
-                });
-            }
-            RawOutcome::NotRun => {
-                stages.push(StageReport {
-                    stage: kind,
-                    status: StageStatus::Skipped,
-                    completion: None,
-                    elapsed,
-                    steps,
-                    cost: None,
-                    attempts,
-                });
-            }
-        }
+    let mut fold = Fold {
+        tg,
+        net,
+        model: &config.cost_model,
+        stages: Vec::with_capacity(chain.stages.len()),
+        best: None,
+        worst_completion: Completion::Optimal,
+        stop: false,
+        cancelled: false,
+    };
+    for (&kind, stage) in chain.stages.iter().zip(raw) {
+        fold.push(kind, stage);
     }
 
     // Auto-selection rescue lap: when every search stage the chain *did*
@@ -587,56 +541,26 @@ pub fn run_engine_with(
     // unsupervised, uncancelled runs whose chain didn't already name it;
     // its candidate competes under the same lowest-cost serving rule.
     if config.supervisor.is_none()
-        && !cancelled
-        && worst_completion == Completion::BudgetExhausted
+        && !fold.cancelled
+        && fold.worst_completion == Completion::BudgetExhausted
         && !chain.stages.contains(&StageKind::Multilevel)
     {
-        let RawStage {
-            outcome,
-            elapsed,
-            steps,
-            attempts,
-        } = execute_stage(StageKind::Multilevel, tg, net, opts, budget, &cache);
-        match outcome {
-            RawOutcome::Candidate(report, completion) => {
-                let cost = candidate_cost(tg, net, &report.mapping, &config.cost_model);
-                worst_completion = worst_completion.worst(completion);
-                if best.as_ref().is_none_or(|(_, c, _)| cost < *c) {
-                    best = Some((report, cost, stages.len()));
-                }
-                stages.push(StageReport {
-                    stage: StageKind::Multilevel,
-                    status: StageStatus::Candidate,
-                    completion: Some(completion),
-                    elapsed,
-                    steps,
-                    cost: Some(cost),
-                    attempts,
-                });
-            }
-            RawOutcome::Failed(e) => stages.push(StageReport {
-                stage: StageKind::Multilevel,
-                status: StageStatus::Failed(e.to_string()),
-                completion: None,
-                elapsed,
-                steps,
-                cost: None,
-                attempts,
-            }),
-            RawOutcome::Panicked(msg) => stages.push(StageReport {
-                stage: StageKind::Multilevel,
-                status: StageStatus::Panicked(msg),
-                completion: None,
-                elapsed,
-                steps,
-                cost: None,
-                attempts,
-            }),
-            // execute_stage only produces the three outcomes above
-            RawOutcome::Hung | RawOutcome::CircuitOpen | RawOutcome::NotRun => {}
+        // the lap runs past the chain's end, so the chain's stop doesn't skip it
+        fold.stop = false;
+        let rescue = [StageKind::Multilevel];
+        let raw = run_stages(tg, net, opts, &rescue, budget, &cache, &EngineConfig::default());
+        for (&kind, stage) in rescue.iter().zip(raw) {
+            fold.push(kind, stage);
         }
     }
 
+    let Fold {
+        mut stages,
+        best,
+        worst_completion,
+        cancelled,
+        ..
+    } = fold;
     let sup_state = config.supervisor.as_ref().map(|s| &*s.state);
     match best {
         Some((report, _, idx)) => {
@@ -705,7 +629,7 @@ pub(crate) struct RawStage {
 }
 
 impl RawStage {
-    pub(crate) fn not_run() -> RawStage {
+    fn not_run() -> RawStage {
         RawStage {
             outcome: RawOutcome::NotRun,
             elapsed: Duration::ZERO,
@@ -716,7 +640,7 @@ impl RawStage {
 
     /// Whether, under sequential chain semantics, no later stage would
     /// run after this result.
-    pub(crate) fn ends_chain(&self) -> bool {
+    fn ends_chain(&self) -> bool {
         match &self.outcome {
             RawOutcome::Candidate(_, completion) => {
                 !matches!(completion, Completion::BudgetExhausted)
@@ -759,87 +683,87 @@ fn execute_stage(
     }
 }
 
-fn run_stages_sequential(
+/// The one stage runner. Up to `config.parallelism.workers_for(n)`
+/// workers pull stages off the chain by index; a single worker runs the
+/// loop on the caller's thread (no spawn, so deep recursion keeps the
+/// main stack). Each stage gets a child [`Budget`] carrying the caller's
+/// deadline and cancel tokens plus a per-stage kill switch; a stage whose
+/// result ends the chain fires the kill switches of every *later* stage
+/// only — earlier stages would have run to completion sequentially, so
+/// their candidates must still compete. A stage runs through
+/// [`execute_stage`], or through the supervisor's watchdog, retry and
+/// circuit breaker when `config.supervisor` is set.
+fn run_stages(
     tg: &TaskGraph,
     net: &Network,
     opts: &MapperOptions,
-    chain: &FallbackChain,
+    stages: &[StageKind],
     budget: &Budget,
-    cache: &RouteTableCache,
+    cache: &Arc<RouteTableCache>,
+    config: &EngineConfig,
 ) -> Vec<RawStage> {
-    let mut raw = Vec::with_capacity(chain.stages.len());
-    let mut stop = false;
-    for &kind in &chain.stages {
-        if stop {
-            raw.push(RawStage::not_run());
-            continue;
-        }
-        let stage = execute_stage(kind, tg, net, opts, budget, cache);
-        stop = stage.ends_chain();
-        raw.push(stage);
-    }
-    raw
-}
-
-/// Runs the chain's stages on `workers` scoped threads. Each stage gets
-/// a child [`Budget`] carrying the caller's deadline and cancel tokens,
-/// an even share of the remaining step quota, and a per-stage kill
-/// switch; a stage whose result ends the chain fires the kill switches
-/// of every *later* stage only — earlier stages would have run to
-/// completion sequentially, so their candidates must still compete.
-fn run_stages_parallel(
-    tg: &TaskGraph,
-    net: &Network,
-    opts: &MapperOptions,
-    chain: &FallbackChain,
-    budget: &Budget,
-    cache: &RouteTableCache,
-    workers: usize,
-) -> Vec<RawStage> {
-    // The step quota is split over the *actual* chain length — never a
-    // hard-coded stage count — so a 4-stage chain like
-    // `multilevel,exhaustive,heuristic,identity` gives every stage its
-    // fair 1/4 share, exactly as a 3-stage chain gives thirds.
-    let n = chain.stages.len();
+    let n = stages.len();
+    let workers = config.parallelism.workers_for(n);
+    // One worker takes whatever quota its predecessors left, front to
+    // back. More workers split the quota evenly over the *actual* chain
+    // length — never a hard-coded stage count — so a 4-stage chain gives
+    // every stage a fair 1/4 share, with the remainder to the front.
+    let shares: Option<Vec<Option<u64>>> = (workers > 1).then(|| {
+        let remaining = budget.remaining_steps();
+        (0..n as u64)
+            .map(|i| remaining.map(|r| r / n as u64 + u64::from(i < r % n as u64)))
+            .collect()
+    });
+    // Supervised attempts run on detachable ('static) threads, so they
+    // get their own copies of the inputs — cloned once per run.
+    let supervised = config
+        .supervisor
+        .as_ref()
+        .map(|sup| (sup, Arc::new(tg.clone()), Arc::new(net.clone()), Arc::new(opts.clone())));
     let kills: Vec<CancelToken> = (0..n).map(|_| CancelToken::new()).collect();
-    let shares: Vec<Option<u64>> = match budget.remaining_steps() {
-        Some(remaining) => {
-            let per = remaining / n as u64;
-            let spare = remaining % n as u64;
-            // distribute the remainder to the front of the chain
-            (0..n as u64).map(|i| Some(per + u64::from(i < spare))).collect()
-        }
-        None => vec![None; n],
-    };
     let results: Vec<Mutex<Option<RawStage>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
 
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let stage = if kills[i].is_cancelled() {
-                    // an earlier stage already ended the chain before this
-                    // one started: equivalent to a sequential skip
-                    RawStage::not_run()
-                } else {
-                    let child = budget.child(kills[i].clone(), shares[i]);
-                    let stage = execute_stage(chain.stages[i], tg, net, opts, &child, cache);
-                    budget.charge(child.steps_used());
-                    stage
-                };
-                if stage.ends_chain() {
-                    for kill in kills.iter().skip(i + 1) {
-                        kill.cancel();
-                    }
-                }
-                *results[i].lock().expect("stage result poisoned") = Some(stage);
-            });
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
-    });
+        let stage = if kills[i].is_cancelled() {
+            // an earlier stage already ended the chain before this one
+            // started: equivalent to a sequential skip
+            RawStage::not_run()
+        } else {
+            let quota = match &shares {
+                Some(shares) => shares[i],
+                None => budget.remaining_steps(),
+            };
+            let child = budget.child(kills[i].clone(), quota);
+            let stage = match &supervised {
+                Some((sup, tg, net, opts)) => {
+                    supervised_stage(stages[i], tg, net, opts, &child, cache, sup)
+                }
+                None => execute_stage(stages[i], tg, net, opts, &child, cache),
+            };
+            budget.charge(child.steps_used());
+            stage
+        };
+        if stage.ends_chain() {
+            for kill in kills.iter().skip(i + 1) {
+                kill.cancel();
+            }
+        }
+        *results[i].lock().expect("stage result poisoned") = Some(stage);
+    };
+    if workers == 1 {
+        work();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(work);
+            }
+        });
+    }
 
     results
         .into_iter()

@@ -5,7 +5,9 @@
 //! [`Budget::tick`] stops at its deadline, but a stage that never
 //! charges — a stuck loop, a blocking call, an injected stall — holds
 //! `run_engine_with` hostage forever. The supervisor closes that hole
-//! by running every stage on its own watched worker thread:
+//! by running every stage on its own watched worker thread (the engine's
+//! one stage runner calls `supervised_stage` per stage, so supervision
+//! combines with any [`crate::engine::Parallelism`]):
 //!
 //! * a **watchdog** fires the stage's kill token when the budget's
 //!   deadline passes, then waits one [`SupervisorConfig::grace`] window
@@ -35,10 +37,10 @@
 //! harness (`chaos_bench`, the supervisor property tests): per stage
 //! attempt it may inject a panic or a non-cooperative stall, driven by
 //! a deterministic counter-keyed stream, so every storm reproduces from
-//! its seed.
+//! its seed at one worker.
 
 use crate::budget::{Budget, CancelToken, Completion};
-use crate::engine::{run_stage, FallbackChain, RawOutcome, RawStage, StageKind, StageStatus};
+use crate::engine::{run_stage, RawOutcome, RawStage, StageKind, StageStatus};
 use crate::pipeline::{MapError, MapperOptions};
 use oregami_graph::TaskGraph;
 use oregami_topology::{Network, RouteTableCache};
@@ -296,7 +298,8 @@ enum ChaosAction {
 /// never charges the budget — exactly the failure mode the watchdog
 /// exists for). Decisions come from a SplitMix64 stream keyed on the
 /// seed and a shared monotone event counter, so a given seed replays
-/// the identical storm under sequential supervised execution.
+/// the identical storm under one-worker supervised execution (with more
+/// workers, which stage draws which event depends on thread timing).
 #[derive(Clone, Debug)]
 pub struct ChaosConfig {
     /// Stream seed; equal seeds replay equal storms.
@@ -416,21 +419,26 @@ impl ChaosConfig {
         Ok(chaos)
     }
 
-    /// Draws the action for the next stage attempt.
-    fn draw(&self, stage: StageKind) -> ChaosAction {
-        let event = self.counter.fetch_add(1, Ordering::Relaxed);
-        if self.only.is_some_and(|k| k != stage) {
-            return ChaosAction::None;
-        }
-        // SplitMix64 over seed ^ event index: deterministic per stream
-        // position, independent of wall clock and thread timing.
+    /// SplitMix64 over seed ^ event index: deterministic per stream
+    /// position, independent of wall clock and thread timing. Returns the
+    /// mixed word and its top 53 bits as a uniform draw in `[0, 1)`.
+    fn mix(&self, event: u64) -> (u64, f64) {
         let mut z = self
             .seed
             .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(event + 1));
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^= z >> 31;
-        let u = (z >> 11) as f64 / (1u64 << 53) as f64; // uniform [0,1)
+        (z, (z >> 11) as f64 / (1u64 << 53) as f64)
+    }
+
+    /// Draws the action for the next stage attempt.
+    fn draw(&self, stage: StageKind) -> ChaosAction {
+        let event = self.counter.fetch_add(1, Ordering::Relaxed);
+        if self.only.is_some_and(|k| k != stage) {
+            return ChaosAction::None;
+        }
+        let (_, u) = self.mix(event);
         if u < self.panic_prob {
             ChaosAction::Panic
         } else if u < self.panic_prob + self.stall_prob {
@@ -449,14 +457,7 @@ impl ChaosConfig {
         if self.num_boards == 0 || self.board_loss_prob <= 0.0 {
             return None;
         }
-        let event = self.counter.fetch_add(1, Ordering::Relaxed);
-        let mut z = self
-            .seed
-            .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(event + 1));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let u = (z >> 11) as f64 / (1u64 << 53) as f64;
+        let (z, u) = self.mix(self.counter.fetch_add(1, Ordering::Relaxed));
         if u < self.board_loss_prob {
             Some((z % self.num_boards as u64) as u32)
         } else {
@@ -682,121 +683,101 @@ fn watched_attempt(
     (outcome, child.steps_used())
 }
 
-/// Supervised sequential execution of the chain: each stage runs on a
-/// watched worker thread with retry and circuit-breaking, producing the
-/// same [`RawStage`] sequence the engine's chain-order fold consumes.
-pub(crate) fn run_stages_supervised(
-    tg: &TaskGraph,
-    net: &Network,
-    opts: &MapperOptions,
-    chain: &FallbackChain,
+/// Supervised execution of one chain stage: breaker admission, then
+/// watched attempts with bounded retry, producing the [`RawStage`] the
+/// engine's chain-order fold consumes. `tg`/`net`/`opts` are shared
+/// across attempts because detached workers must own their inputs.
+pub(crate) fn supervised_stage(
+    kind: StageKind,
+    tg: &Arc<TaskGraph>,
+    net: &Arc<Network>,
+    opts: &Arc<MapperOptions>,
     budget: &Budget,
     cache: &Arc<RouteTableCache>,
     cfg: &SupervisorConfig,
-) -> Vec<RawStage> {
-    // Workers must be detachable ('static), so they get their own copies
-    // of the inputs — cloned once per engine run, shared across attempts.
-    let tg = Arc::new(tg.clone());
-    let net = Arc::new(net.clone());
-    let opts = Arc::new(opts.clone());
-
-    let mut raw = Vec::with_capacity(chain.stages.len());
-    let mut stop = false;
-    for &kind in &chain.stages {
-        if stop {
-            raw.push(RawStage::not_run());
-            continue;
+) -> RawStage {
+    let max_attempts = match cfg.state.admit(kind, &cfg.breaker) {
+        Admission::Skip => {
+            return RawStage {
+                outcome: RawOutcome::CircuitOpen,
+                elapsed: Duration::ZERO,
+                steps: 0,
+                attempts: 0,
+            }
         }
-        let admission = cfg.state.admit(kind, &cfg.breaker);
-        let max_attempts = match admission {
-            Admission::Skip => {
-                raw.push(RawStage {
-                    outcome: RawOutcome::CircuitOpen,
-                    elapsed: Duration::ZERO,
-                    steps: 0,
-                    attempts: 0,
-                });
-                continue;
-            }
-            Admission::Probe => 1,
-            Admission::Run => 1 + cfg.retry.max_retries,
-        };
+        Admission::Probe => 1,
+        Admission::Run => 1 + cfg.retry.max_retries,
+    };
 
-        let t0 = Instant::now();
-        let mut steps = 0u64;
-        let mut attempts = 0u32;
-        let mut outcome = RawOutcome::Panicked("stage never attempted".into());
-        while attempts < max_attempts {
-            if attempts > 0 {
-                // Transient failure: back off, but never past the
-                // deadline — a retry that cannot finish is wasted work.
-                let backoff = cfg.retry.backoff_for(attempts);
-                if budget.time_remaining().is_some_and(|left| left < backoff) {
-                    break;
-                }
-                std::thread::sleep(backoff);
-            }
-            attempts += 1;
-            if let Some(Completion::Cancelled) = budget.poll() {
-                outcome = RawOutcome::Failed(MapError::Cancelled);
+    let t0 = Instant::now();
+    let mut steps = 0u64;
+    let mut attempts = 0u32;
+    let mut outcome = RawOutcome::Panicked("stage never attempted".into());
+    while attempts < max_attempts {
+        if attempts > 0 {
+            // Transient failure: back off, but never past the deadline —
+            // a retry that cannot finish is wasted work.
+            let backoff = cfg.retry.backoff_for(attempts);
+            if budget.time_remaining().is_some_and(|left| left < backoff) {
                 break;
             }
-            let (attempt, attempt_steps) =
-                watched_attempt(kind, &tg, &net, &opts, budget, cache, cfg);
-            budget.charge(attempt_steps);
-            steps += attempt_steps;
-            // Cancellation observed by the stage is genuine only when the
-            // *parent* budget (no kill token attached) reports it too;
-            // otherwise it came from the watchdog's kill, which is
-            // deadline enforcement, not a caller abort.
-            let caller_cancelled = matches!(budget.poll(), Some(Completion::Cancelled));
-            match attempt {
-                AttemptOutcome::Hung => {
-                    cfg.state.record_failure(kind, &cfg.breaker);
-                    outcome = RawOutcome::Hung;
-                    break; // the deadline is spent; retrying cannot help
-                }
-                AttemptOutcome::Done(Err(panic_msg)) => {
-                    cfg.state.record_failure(kind, &cfg.breaker);
-                    outcome = RawOutcome::Panicked(panic_msg);
-                }
-                AttemptOutcome::Done(Ok(Err(MapError::Cancelled))) if !caller_cancelled => {
-                    outcome = RawOutcome::Failed(MapError::StageKilled);
-                    break; // deadline spent with nothing to show; move on
-                }
-                AttemptOutcome::Done(Ok(Err(e))) => {
-                    let cancelled = matches!(e, MapError::Cancelled);
-                    outcome = RawOutcome::Failed(e);
-                    if cancelled {
-                        break;
-                    }
-                }
-                AttemptOutcome::Done(Ok(Ok((report, completion)))) => {
-                    cfg.state.record_success(kind);
-                    // A watchdog-killed stage that still produced its
-                    // best-so-far was cut short, not caller-cancelled.
-                    let completion = if completion == Completion::Cancelled && !caller_cancelled
-                    {
-                        Completion::BudgetExhausted
-                    } else {
-                        completion
-                    };
-                    outcome = RawOutcome::Candidate(report, completion);
+            std::thread::sleep(backoff);
+        }
+        attempts += 1;
+        if let Some(Completion::Cancelled) = budget.poll() {
+            outcome = RawOutcome::Failed(MapError::Cancelled);
+            break;
+        }
+        let (attempt, attempt_steps) = watched_attempt(kind, tg, net, opts, budget, cache, cfg);
+        budget.charge(attempt_steps);
+        steps += attempt_steps;
+        // Cancellation observed by the stage is genuine only when the
+        // stage's own budget (no watchdog kill token attached) reports it
+        // too; otherwise it came from the watchdog's kill, which is
+        // deadline enforcement, not a caller abort.
+        let caller_cancelled = matches!(budget.poll(), Some(Completion::Cancelled));
+        match attempt {
+            AttemptOutcome::Hung => {
+                cfg.state.record_failure(kind, &cfg.breaker);
+                outcome = RawOutcome::Hung;
+                break; // the deadline is spent; retrying cannot help
+            }
+            AttemptOutcome::Done(Err(panic_msg)) => {
+                cfg.state.record_failure(kind, &cfg.breaker);
+                outcome = RawOutcome::Panicked(panic_msg);
+            }
+            AttemptOutcome::Done(Ok(Err(MapError::Cancelled))) if !caller_cancelled => {
+                outcome = RawOutcome::Failed(MapError::StageKilled);
+                break; // deadline spent with nothing to show; move on
+            }
+            AttemptOutcome::Done(Ok(Err(e))) => {
+                let cancelled = matches!(e, MapError::Cancelled);
+                outcome = RawOutcome::Failed(e);
+                if cancelled {
                     break;
                 }
             }
+            AttemptOutcome::Done(Ok(Ok((report, completion)))) => {
+                cfg.state.record_success(kind);
+                // A watchdog-killed stage that still produced its
+                // best-so-far was cut short, not caller-cancelled.
+                let completion = if completion == Completion::Cancelled && !caller_cancelled {
+                    Completion::BudgetExhausted
+                } else {
+                    completion
+                };
+                outcome = RawOutcome::Candidate(report, completion);
+                break;
+            }
         }
-
-        let stage = RawStage {
-            outcome,
-            elapsed: t0.elapsed(),
-            steps,
-            attempts,
-        };
-        stop = stage.ends_chain();
-        raw.push(stage);
     }
-    raw
+
+    RawStage {
+        outcome,
+        elapsed: t0.elapsed(),
+        steps,
+        attempts,
+    }
 }
 
 #[cfg(test)]

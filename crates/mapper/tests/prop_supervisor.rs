@@ -42,22 +42,63 @@ fn supervised_clean_run_is_healthy_and_matches_unsupervised() {
         &EngineConfig::default(),
     )
     .unwrap();
-    let sup = run_engine_with(
-        &tg,
-        &net,
-        &MapperOptions::default(),
-        &FallbackChain::full(),
-        &Budget::unlimited(),
-        &EngineConfig::default().supervised(SupervisorConfig::default()),
-    )
-    .unwrap();
-    assert_eq!(sup.engine.served_by, plain.engine.served_by);
-    assert_eq!(
-        sup.report.mapping.assignment, plain.report.mapping.assignment,
-        "supervised execution must serve the identical mapping"
+    // supervision combines with every thread count
+    for threads in [1, 2, 3, 4, 8] {
+        let sup = run_engine_with(
+            &tg,
+            &net,
+            &MapperOptions::default(),
+            &FallbackChain::full(),
+            &Budget::unlimited(),
+            &EngineConfig::default()
+                .threads(threads)
+                .supervised(SupervisorConfig::default()),
+        )
+        .unwrap();
+        assert_eq!(sup.engine.served_by, plain.engine.served_by, "{threads} threads");
+        assert_eq!(
+            sup.report.mapping.assignment, plain.report.mapping.assignment,
+            "supervised execution must serve the identical mapping at {threads} threads"
+        );
+        assert_eq!(sup.engine.health, ServiceHealth::Healthy, "{threads} threads");
+        assert!(sup.engine.to_string().contains("health: healthy"));
+    }
+}
+
+#[test]
+fn supervised_stalled_chain_runs_its_stages_in_parallel() {
+    // Every attempt of every stage stalls 400 ms without polling. At one
+    // worker the chain pays one stall per stage it runs; at three
+    // workers the stages stall side by side, so the whole chain costs
+    // about one stall — and still serves the same stage.
+    let tg = jacobi16();
+    let net = builders::hypercube(2);
+    let run = |threads: usize| {
+        let cfg = EngineConfig::default().threads(threads).supervised(
+            SupervisorConfig::default()
+                .with_chaos(ChaosConfig::new(1).with_stall(1.0, Duration::from_millis(400))),
+        );
+        let t0 = Instant::now();
+        let outcome = run_engine_with(
+            &tg,
+            &net,
+            &MapperOptions::default(),
+            &FallbackChain::full(),
+            &Budget::unlimited().with_max_steps(1),
+            &cfg,
+        )
+        .unwrap();
+        (outcome, t0.elapsed())
+    };
+    let (seq, _) = run(1);
+    let (par, elapsed) = run(3);
+    assert!(
+        elapsed < Duration::from_millis(700),
+        "supervised 3-thread chain took {elapsed:.1?}, expected about one 400 ms stall"
     );
-    assert_eq!(sup.engine.health, ServiceHealth::Healthy);
-    assert!(sup.engine.to_string().contains("health: healthy"));
+    assert_eq!(par.engine.served_by, seq.engine.served_by, "{}", par.engine);
+    assert!(par.engine.to_string().contains("3 threads"));
+    par.report.mapping.validate(&tg, &net).unwrap();
 }
 
 #[test]
